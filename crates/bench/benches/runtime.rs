@@ -10,7 +10,7 @@ use dbpal_model::SketchModel;
 use dbpal_nlp::Lemmatizer;
 use dbpal_runtime::{ParameterHandler, PostProcessor, ValueIndex};
 use dbpal_schema::{Schema, SchemaBuilder, SemanticDomain, SqlType, Value};
-use dbpal_util::bench::{black_box, Config, Harness};
+use dbpal_util::bench::{black_box, BenchOpts, Config, Harness};
 
 fn schema() -> Schema {
     SchemaBuilder::new("hospital")
@@ -30,9 +30,11 @@ fn schema() -> Schema {
         .unwrap()
 }
 
-fn database() -> Database {
+/// `patients` rows with unique names, 70 ages and 3 diseases, spread
+/// over 10 doctors.
+fn database(patients: i64) -> Database {
     let mut db = Database::new(schema());
-    for i in 0..500i64 {
+    for i in 0..patients {
         db.insert(
             "patients",
             vec![
@@ -57,7 +59,7 @@ fn database() -> Database {
 fn main() {
     let mut h = Harness::with_config("runtime", Config::from_args());
 
-    let db = database();
+    let db = database(500);
     let index = ValueIndex::build(&db);
     let handler = ParameterHandler::new(db.schema(), &index);
     h.bench("runtime/anonymize", || {
@@ -105,6 +107,36 @@ fn main() {
     h.bench("engine/hash_join_500x10", || {
         black_box(db.execute(&join).unwrap().row_count())
     });
+
+    // The executor at the table size the end-to-end bench serves.
+    let big = database(2000);
+    let floors = BenchOpts {
+        min_samples: 5,
+        ..BenchOpts::default()
+    };
+    for (name, sql) in [
+        (
+            "engine/where_scan_2000_rows",
+            "SELECT name FROM patients WHERE age > 80",
+        ),
+        (
+            "engine/order_by_limit_2000_rows",
+            "SELECT name FROM patients ORDER BY age DESC LIMIT 1",
+        ),
+        (
+            "engine/distinct_name_2000_rows",
+            "SELECT DISTINCT name FROM patients",
+        ),
+        (
+            "engine/group_by_name_2000_rows",
+            "SELECT name, COUNT(*) FROM patients GROUP BY name",
+        ),
+    ] {
+        let q = dbpal_sql::parse_query(sql).unwrap();
+        h.bench_opts(name, floors, || {
+            black_box(big.execute(&q).unwrap().row_count())
+        });
+    }
 
     h.finish();
 }

@@ -1,13 +1,16 @@
 //! Compiled predicate/scalar evaluation over joined rows.
 //!
 //! Queries are compiled once per execution: column references are resolved
-//! to row offsets and uncorrelated subqueries are materialized up front
-//! (DBPal's dialect only permits uncorrelated nesting, paper §5.2), so
-//! per-row evaluation is allocation-free.
+//! to row offsets, LIKE patterns are lowercased, and uncorrelated
+//! subqueries are materialized up front (DBPal's dialect only permits
+//! uncorrelated nesting, paper §5.2). Per-row evaluation reads values in
+//! place through the [`Row`] trait and borrows them, so it allocates only
+//! when a HAVING clause computes an aggregate.
 
 use crate::{Database, EngineError};
 use dbpal_schema::Value;
 use dbpal_sql::{AggArg, AggFunc, CmpOp, Pred, Query, Scalar};
+use std::borrow::Cow;
 
 /// A compiled scalar: either a row offset or a constant (literals and
 /// pre-evaluated scalar subqueries).
@@ -51,7 +54,8 @@ pub(crate) enum EPred {
     Const(bool),
     Like {
         col: usize,
-        pattern: String,
+        /// Lowercased by [`compile_like`].
+        pattern: Vec<char>,
         negated: bool,
     },
     IsNull {
@@ -190,7 +194,7 @@ pub(crate) fn compile_pred(
             negated,
         } => {
             let pattern = match compile_scalar(pattern, resolver, db, agg)? {
-                EScalar::Const(Value::Text(s)) => s,
+                EScalar::Const(Value::Text(s)) => compile_like(&s),
                 _ => {
                     return Err(EngineError::Invalid(
                         "LIKE pattern must be a string constant".into(),
@@ -220,23 +224,41 @@ impl EPred {
     }
 }
 
-/// The aggregation context for HAVING evaluation: the rows of the current
-/// group. `None` during plain WHERE filtering.
-pub(crate) type GroupRows<'a> = Option<&'a [&'a [Value]]>;
+/// Column access for one row of the (joined) row set. The executor reads
+/// values in place from column storage through this; nothing is copied
+/// per row.
+pub(crate) trait Row {
+    /// The value at combined column offset `col`.
+    fn value(&self, col: usize) -> &Value;
+}
 
-pub(crate) fn eval_scalar(s: &EScalar, row: &[Value], group: GroupRows<'_>) -> Value {
-    match s {
-        EScalar::Col(i) => row[*i].clone(),
-        EScalar::Const(v) => v.clone(),
-        EScalar::Agg(f, arg) => match group {
-            Some(rows) => compute_aggregate(*f, *arg, rows),
-            None => Value::Null,
-        },
+#[cfg(test)]
+impl Row for &[Value] {
+    fn value(&self, col: usize) -> &Value {
+        &self[col]
     }
 }
 
-/// Three-valued predicate evaluation: `None` is SQL "unknown".
-pub(crate) fn eval_pred(p: &EPred, row: &[Value], group: GroupRows<'_>) -> Option<bool> {
+/// Columns and constants are borrowed; only aggregates produce a value.
+pub(crate) fn eval_scalar<'a, R: Row>(
+    s: &'a EScalar,
+    row: &'a R,
+    group: Option<&[R]>,
+) -> Cow<'a, Value> {
+    match s {
+        EScalar::Col(i) => Cow::Borrowed(row.value(*i)),
+        EScalar::Const(v) => Cow::Borrowed(v),
+        EScalar::Agg(f, arg) => Cow::Owned(match group {
+            Some(rows) => compute_aggregate(*f, *arg, rows),
+            None => Value::Null,
+        }),
+    }
+}
+
+/// Three-valued predicate evaluation: `None` is SQL "unknown". `group`
+/// holds the rows of the current group during HAVING and is `None`
+/// during WHERE filtering.
+pub(crate) fn eval_pred<R: Row>(p: &EPred, row: &R, group: Option<&[R]>) -> Option<bool> {
     match p {
         EPred::And(ps) => {
             let mut saw_unknown = false;
@@ -283,7 +305,7 @@ pub(crate) fn eval_pred(p: &EPred, row: &[Value], group: GroupRows<'_>) -> Optio
             })
         }
         EPred::Between { col, low, high } => {
-            let v = &row[*col];
+            let v = row.value(*col);
             let lo = eval_scalar(low, row, group);
             let hi = eval_scalar(high, row, group);
             let ge = v.sql_cmp(&lo)? != std::cmp::Ordering::Less;
@@ -318,23 +340,23 @@ pub(crate) fn eval_pred(p: &EPred, row: &[Value], group: GroupRows<'_>) -> Optio
             col,
             pattern,
             negated,
-        } => match &row[*col] {
+        } => match row.value(*col) {
             Value::Null => None,
             Value::Text(s) => Some(like_match(s, pattern) != *negated),
             _ => Some(*negated),
         },
-        EPred::IsNull { col, negated } => Some(row[*col].is_null() != *negated),
+        EPred::IsNull { col, negated } => Some(row.value(*col).is_null() != *negated),
     }
 }
 
 /// Compute an aggregate over a group of rows. NULLs are skipped for
 /// column aggregates; `COUNT(*)` counts every row. Empty inputs yield
 /// NULL except for COUNT, which yields 0.
-pub(crate) fn compute_aggregate(f: AggFunc, arg: EAggArg, rows: &[&[Value]]) -> Value {
+pub(crate) fn compute_aggregate<R: Row>(f: AggFunc, arg: EAggArg, rows: &[R]) -> Value {
     match (f, arg) {
         (AggFunc::Count, EAggArg::Star) => Value::Int(rows.len() as i64),
         (AggFunc::Count, EAggArg::Col(i)) => {
-            Value::Int(rows.iter().filter(|r| !r[i].is_null()).count() as i64)
+            Value::Int(rows.iter().filter(|r| !r.value(i).is_null()).count() as i64)
         }
         (_, EAggArg::Star) => {
             // SUM(*)/AVG(*)/MIN(*)/MAX(*) are not valid SQL; treat as NULL.
@@ -346,7 +368,7 @@ pub(crate) fn compute_aggregate(f: AggFunc, arg: EAggArg, rows: &[&[Value]]) -> 
             let mut any = false;
             let mut all_int = true;
             for r in rows {
-                match &r[i] {
+                match r.value(i) {
                     Value::Null => {}
                     Value::Int(v) => {
                         any = true;
@@ -373,7 +395,7 @@ pub(crate) fn compute_aggregate(f: AggFunc, arg: EAggArg, rows: &[&[Value]]) -> 
             let mut sum = 0.0;
             let mut n = 0usize;
             for r in rows {
-                if let Some(v) = r[i].as_f64() {
+                if let Some(v) = r.value(i).as_f64() {
                     sum += v;
                     n += 1;
                 }
@@ -387,7 +409,7 @@ pub(crate) fn compute_aggregate(f: AggFunc, arg: EAggArg, rows: &[&[Value]]) -> 
         (AggFunc::Min, EAggArg::Col(i)) | (AggFunc::Max, EAggArg::Col(i)) => {
             let mut best: Option<&Value> = None;
             for r in rows {
-                let v = &r[i];
+                let v = r.value(i);
                 if v.is_null() {
                     continue;
                 }
@@ -412,47 +434,128 @@ pub(crate) fn compute_aggregate(f: AggFunc, arg: EAggArg, rows: &[&[Value]]) -> 
     }
 }
 
-/// SQL LIKE matching: `%` matches any sequence, `_` any single character.
-/// Matching is case-insensitive, mirroring common collations and giving
-/// the NLIDB forgiving string search.
-pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
-    fn inner(s: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
+/// Lowercase a LIKE pattern once, at compile time.
+pub(crate) fn compile_like(pattern: &str) -> Vec<char> {
+    pattern.to_lowercase().chars().collect()
+}
+
+/// SQL LIKE matching against a pattern from [`compile_like`]: `%` matches
+/// any sequence, `_` any single character. Matching is case-insensitive,
+/// mirroring common collations and giving the NLIDB forgiving string
+/// search. ASCII values are lowercased byte by byte without allocating;
+/// other values are lowercased with full Unicode rules first.
+pub(crate) fn like_match(s: &str, pattern: &[char]) -> bool {
+    if s.is_ascii() {
+        let bytes = s.as_bytes();
+        wildcard_match(
+            bytes.len(),
+            |i| char::from(bytes[i].to_ascii_lowercase()),
+            pattern,
+        )
+    } else {
+        let lower: Vec<char> = s.to_lowercase().chars().collect();
+        wildcard_match(lower.len(), |i| lower[i], pattern)
+    }
+}
+
+/// Iterative wildcard matching over `len` characters read through `at`.
+/// On a mismatch it backtracks only to the most recent `%`, letting that
+/// `%` absorb one more character, so the work is O(len · |pattern|)
+/// whatever the number of `%` signs.
+fn wildcard_match(len: usize, at: impl Fn(usize) -> char, p: &[char]) -> bool {
+    let (mut si, mut pi) = (0, 0);
+    // (pattern index after the last `%`, text index that `%` resumes at)
+    let mut resume: Option<(usize, usize)> = None;
+    while si < len {
+        match p.get(pi) {
             Some('%') => {
-                // Try to match the rest of the pattern at every suffix.
-                (0..=s.len()).any(|i| inner(&s[i..], &p[1..]))
+                pi += 1;
+                resume = Some((pi, si));
             }
-            Some('_') => !s.is_empty() && inner(&s[1..], &p[1..]),
-            Some(c) => s.first() == Some(c) && inner(&s[1..], &p[1..]),
+            Some(&c) if c == '_' || c == at(si) => {
+                pi += 1;
+                si += 1;
+            }
+            _ => match resume {
+                Some((rp, rs)) => {
+                    pi = rp;
+                    si = rs + 1;
+                    resume = Some((rp, rs + 1));
+                }
+                None => return false,
+            },
         }
     }
-    let s: Vec<char> = s.to_lowercase().chars().collect();
-    let p: Vec<char> = pattern.to_lowercase().chars().collect();
-    inner(&s, &p)
+    p[pi..].iter().all(|&c| c == '%')
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn like(s: &str, pattern: &str) -> bool {
+        like_match(s, &compile_like(pattern))
+    }
+
+    /// The recursive matcher `like_match` replaced. It backtracks at
+    /// every `%`, costing O(|s|^k) for k `%` signs; kept as the
+    /// reference the iterative matcher must agree with.
+    fn like_reference(s: &str, pattern: &str) -> bool {
+        fn inner(s: &[char], p: &[char]) -> bool {
+            match p.first() {
+                None => s.is_empty(),
+                Some('%') => (0..=s.len()).any(|i| inner(&s[i..], &p[1..])),
+                Some('_') => !s.is_empty() && inner(&s[1..], &p[1..]),
+                Some(c) => s.first() == Some(c) && inner(&s[1..], &p[1..]),
+            }
+        }
+        let s: Vec<char> = s.to_lowercase().chars().collect();
+        let p: Vec<char> = pattern.to_lowercase().chars().collect();
+        inner(&s, &p)
+    }
+
     #[test]
     fn like_basics() {
-        assert!(like_match("hello", "hello"));
-        assert!(like_match("hello", "h%"));
-        assert!(like_match("hello", "%llo"));
-        assert!(like_match("hello", "%ell%"));
-        assert!(like_match("hello", "h_llo"));
-        assert!(!like_match("hello", "h_go"));
-        assert!(!like_match("hello", "hell"));
-        assert!(like_match("", "%"));
-        assert!(!like_match("", "_"));
+        assert!(like("hello", "hello"));
+        assert!(like("hello", "h%"));
+        assert!(like("hello", "%llo"));
+        assert!(like("hello", "%ell%"));
+        assert!(like("hello", "h_llo"));
+        assert!(!like("hello", "h_go"));
+        assert!(!like("hello", "hell"));
+        assert!(like("", "%"));
+        assert!(!like("", "_"));
     }
 
     #[test]
     fn like_is_case_insensitive() {
-        assert!(like_match("Hello", "hello"));
-        assert!(like_match("HELLO", "%ell%"));
+        assert!(like("Hello", "hello"));
+        assert!(like("HELLO", "%ell%"));
+        assert!(like("ÉCOLE", "%col_"));
+        assert!(like("école", "ÉCOLE"));
+    }
+
+    /// The iterative matcher agrees with the recursive reference over a
+    /// small alphabet (mixed case, one non-ASCII letter) plus `%` and `_`.
+    #[test]
+    fn like_matches_recursive_reference() {
+        dbpal_util::forall!(cases = 512, |rng| {
+            let s = dbpal_util::check::string_from(rng, &['a', 'b', 'A', 'é'], 0..=8);
+            let p = dbpal_util::check::string_from(rng, &['a', 'B', 'É', '%', '_'], 0..=6);
+            assert_eq!(like(&s, &p), like_reference(&s, &p), "{s:?} LIKE {p:?}");
+        });
+    }
+
+    /// Twenty `%a` groups against forty `a`s: the recursive matcher
+    /// explores on the order of C(40, 20) splits before failing; the
+    /// iterative one does at most 40 × 41 steps.
+    #[test]
+    fn like_pathological_pattern_is_bounded() {
+        let s = "a".repeat(40);
+        let many = "%a".repeat(20);
+        assert!(!like(&s, &format!("{many}b")));
+        assert!(like(&s, &format!("{many}%")));
+        assert!(like(&s, &many));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! NULL semantics in aggregates and GROUP BY keys, joins over empty
 //! tables, LIMIT 0, and ORDER BY tie-breaking (see DESIGN.md,
 //! "Fuzzing & differential testing" — ties keep pre-sort row order
-//! because the executor uses a stable sort).
+//! because the executor compares input position after the sort keys).
 
 use dbpal_engine::Database;
 use dbpal_schema::{Schema, SchemaBuilder, SqlType, Value};

@@ -134,6 +134,9 @@ fn is_hot_fn(name: &str) -> bool {
         || name == "translate"
         || name.starts_with("lemmatize")
         || name.starts_with("cache_key")
+        // The executor's per-row evaluators borrow; they never copy.
+        || name == "eval_pred"
+        || name == "eval_scalar"
 }
 
 // ---------------------------------------------------------------- analysis

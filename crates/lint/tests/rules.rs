@@ -186,6 +186,34 @@ const CASES: &[Case] = &[
         expect: 1,
     },
     Case {
+        name: "hotclone_fires_on_clone_in_eval_scalar",
+        path: "crates/engine/src/eval.rs",
+        src: "fn eval_scalar(s: &EScalar, row: &[Value]) -> Value { row[0].clone() }",
+        code: "L030",
+        expect: 1,
+    },
+    Case {
+        name: "hotclone_fires_on_format_in_eval_pred",
+        path: "crates/engine/src/eval.rs",
+        src: "fn eval_pred(p: &EPred, row: &[Value]) -> bool { format!(\"{p:?}\").is_empty() }",
+        code: "L030",
+        expect: 1,
+    },
+    Case {
+        name: "hotclone_quiet_in_borrowing_eval_scalar",
+        path: "crates/engine/src/eval.rs",
+        src: "fn eval_scalar<'a>(s: &'a EScalar, row: &'a [Value]) -> Cow<'a, Value> { Cow::Borrowed(&row[0]) }",
+        code: "L030",
+        expect: 0,
+    },
+    Case {
+        name: "hotclone_quiet_in_eval_scalar_subquery",
+        path: "crates/engine/src/eval.rs",
+        src: "fn eval_scalar_subquery(r: &ResultSet) -> Value { r.rows()[0][0].clone() }",
+        code: "L030",
+        expect: 0,
+    },
+    Case {
         name: "hotclone_quiet_in_cold_fn",
         path: "crates/runtime/src/x.rs",
         src: "fn helper(&self) -> String { self.text.clone() }",
